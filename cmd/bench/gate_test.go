@@ -80,3 +80,23 @@ func TestCheckRatiosBlockedMustBeatNaive(t *testing.T) {
 		t.Fatalf("missing benches tripped the ratio gate: %v", v)
 	}
 }
+
+func TestCheckRatiosConvShapeMustDispatchSSE(t *testing.T) {
+	// The conv-shape gate is independent of the dense one: a healthy
+	// Gemm256 ratio must not mask a conv path that fell back to the Go
+	// micro-kernels (~1.1-1.7x over naive).
+	curr := map[string]Result{
+		"Gemm256/naive":    res(10000, 0),
+		"Gemm256/blocked":  res(3000, 0),
+		"GemmConv/naive":   res(12000, 0),
+		"GemmConv/blocked": res(8000, 0), // 1.5x: scalar fallback speed
+	}
+	v := checkRatios(curr)
+	if len(v) != 1 || !strings.Contains(v[0], "GemmConv") {
+		t.Fatalf("conv-shape fallback not caught: %v", v)
+	}
+	curr["GemmConv/blocked"] = res(4200, 0) // ~2.9x: the SSE kernel
+	if v := checkRatios(curr); len(v) != 0 {
+		t.Fatalf("healthy conv ratio tripped the gate: %v", v)
+	}
+}

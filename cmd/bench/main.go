@@ -11,6 +11,8 @@
 //	                           # embed the previous record as the baseline
 //	bench -check BENCH_7.json -tolerance 0.35
 //	                           # CI regression gate: re-run and compare
+//	bench -run Conv2D -cpuprofile cpu.pprof
+//	                           # profile a subset (go tool pprof cpu.pprof)
 //
 // Rewriting an existing -out file preserves its baseline section.
 //
@@ -35,8 +37,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -137,6 +141,53 @@ func gemm256Setup(naive bool, workers int) func() {
 		old := tensor.SetWorkers(workers)
 		tensor.Gemm(1, a, b, 0, c)
 		tensor.SetWorkers(old)
+	}
+}
+
+// gemmConvSetup is the workload-shape kernel benchmark: the conv forward
+// product W (8 x 27) * colT (27 x 64) of VGGNano's first conv on a 3x8x8
+// input. W is dense, so the blocked kernel takes its packed SSE path; the
+// blocked/naive ratio within one run is asserted by the -check gate next
+// to the dense Gemm-256 one, so it trips if that path stops dispatching on
+// the shape training issues.
+func gemmConvSetup(naive bool) func() {
+	r := rng.New(23)
+	w := tensor.NewMatrix(8, 27)
+	colT := tensor.NewMatrix(27, 64)
+	out := tensor.NewMatrix(8, 64)
+	for i := range w.Data {
+		w.Data[i] = r.NormFloat64()
+	}
+	for i := range colT.Data {
+		colT.Data[i] = math.Max(r.NormFloat64(), 0) // ReLU-masked activations
+	}
+	if naive {
+		return func() { tensor.GemmNaive(1, w, colT, 0, out) }
+	}
+	return func() { tensor.Gemm(1, w, colT, 0, out) }
+}
+
+// convSetup times one Conv2D forward + backward pass at a workload conv
+// shape on a batch of 16, with ReLU-masked input and output gradient (about
+// half exact zeros, as the layer sees them in training).
+func convSetup(c, h, w, filters int) func() {
+	const batch = 16
+	conv := nn.NewConv2D(c, h, w, 3, 1, 1, filters)
+	r := rng.New(24)
+	params := make([]float64, conv.ParamLen())
+	conv.Init(params, r)
+	dParams := make([]float64, conv.ParamLen())
+	masked := func(rows, cols int) *tensor.Matrix {
+		m := tensor.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = math.Max(r.NormFloat64(), 0)
+		}
+		return m
+	}
+	in, dOut := masked(batch, conv.InDim()), masked(batch, conv.OutDim())
+	return func() {
+		conv.Forward(params, in)
+		conv.Backward(params, dOut, dParams)
 	}
 }
 
@@ -347,10 +398,24 @@ func main() {
 		"only run benchmarks whose name contains this substring (local iteration; CI runs all)")
 	tolerance := flag.Float64("tolerance", 0.35,
 		"fractional ns/op slowdown allowed on pinned kernels in -check mode")
+	cpuprofile := flag.String("cpuprofile", "",
+		"write a CPU profile of the benchmark runs to this file (go tool pprof)")
 	flag.Parse()
 	if *tolerance < 0 {
 		fmt.Fprintln(os.Stderr, "bench: -tolerance must be non-negative")
 		os.Exit(2)
+	}
+	var profile *os.File
+	if *cpuprofile != "" {
+		var err error
+		profile, err = os.Create(*cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(profile)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench: -cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	shape := data.ImageShape{Channels: 3, Height: 8, Width: 8}
@@ -365,6 +430,16 @@ func main() {
 		// The parallel variant only separates from /blocked on multi-core
 		// hosts; on a 1-core recorder it documents the dispatch overhead.
 		{"Gemm256/blocked-par4", 30, func() func() { return gemm256Setup(false, 4) }},
+		// A GemmConv call takes microseconds: at 2000 iterations the
+		// ratio's run-to-run spread on a shared host covered the floor.
+		{"GemmConv/naive", 20000, func() func() { return gemmConvSetup(true) }},
+		{"GemmConv/blocked", 20000, func() func() { return gemmConvSetup(false) }},
+		// One bench per conv of the two models; the ResNet stem has the
+		// same shape as VGG's first conv.
+		{"Conv2D/vgg-conv1", 0, func() func() { return convSetup(3, 8, 8, 8) }},
+		{"Conv2D/vgg-conv2", 0, func() func() { return convSetup(8, 4, 4, 16) }},
+		{"Conv2D/resnet-block", 0, func() func() { return convSetup(8, 8, 8, 8) }},
+		{"Conv2D/resnet-stem", 0, func() func() { return convSetup(3, 8, 8, 8) }},
 		{"StepVGGNano", 0, func() func() { return stepSetup(nn.NewVGGNano(shape, 4), shape.Len()) }},
 		{"StepResNetNano", 0, func() func() { return stepSetup(nn.NewResNetNano(shape, 4), shape.Len()) }},
 		{"AdamStep/64k", 0, func() func() { return adamStepSetup(1 << 16) }},
@@ -416,6 +491,13 @@ func main() {
 		rec.Benchmarks[bench.name] = res
 		fmt.Fprintf(os.Stderr, "%-20s %14.0f ns/op %12d B/op %8d allocs/op (n=%d)\n",
 			bench.name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.Iterations)
+	}
+	if profile != nil {
+		pprof.StopCPUProfile()
+		if err := profile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: -cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if *check != "" {

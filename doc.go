@@ -139,7 +139,16 @@
 // 256x256, with FMA deliberately off the table (fused rounding would
 // change bits). tensor.SetWorkers(n) optionally fans output-row panels
 // across goroutines; panels never share output rows, so results are
-// bit-identical at every worker count (raced in CI). Separately,
+// bit-identical at every worker count (raced in CI). nn.Conv2D is
+// channel-major so that training actually reaches that kernel: each sample
+// is lowered transposed (PatchLen x P) and the dense filter matrix is
+// Gemm's A operand, so the forward product lands directly in the output
+// row and the input gradient is W^T times the output gradient; the weight
+// gradient runs over the compacted nonzero output-gradient entries. It
+// re-lowers each sample in Backward rather than caching a batch of patches,
+// and it reproduces the row-major im2col formulation bit for bit (the
+// zero-skip neutrality argument is in internal/tensor/naive.go; an oracle
+// test and conv-net goldens pin it). Separately,
 // compress.Spec gained a wire format (WireFloat32, spec modifier "+f32",
 // -wire float32 on the cmds): payload values are narrowed to float32 on
 // the wire — halving every byte-priced message — while model state stays
@@ -202,5 +211,6 @@
 // Perf numbers are recorded per PR as BENCH_<n>.json via cmd/bench, and
 // CI gates on them: `go run ./cmd/bench -check BENCH_<n>.json` fails on
 // wall-clock regressions beyond a tolerance, on any allocs/op increase,
-// and on the blocked/naive Gemm ratio dropping below its floor.
+// and on either blocked/naive Gemm ratio dropping below its floor (dense
+// 256x256, and the 8x27x64 product conv forward issues in training).
 package repro

@@ -103,7 +103,20 @@ func (d *Dense) Backward(params []float64, dOut *tensor.Matrix, dParams []float6
 // Clone implements Layer.
 func (d *Dense) Clone() Layer { return NewDense(d.in, d.out) }
 
-// ReLU applies max(0, x) elementwise.
+// positiveMask is all ones when v > 0 and zero otherwise (NaN included).
+// ANDing a value's bits with it yields the value or +0; the conditional
+// assignment compiles to a conditional move, so the elementwise ReLU loops
+// carry no data-dependent branch to mispredict on half-zero activations.
+func positiveMask(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// ReLU applies max(0, x) elementwise: v for v > 0, +0 otherwise (-0 and
+// NaN included).
 type ReLU struct {
 	dim     int
 	lastOut *tensor.Matrix
@@ -129,12 +142,9 @@ func (l *ReLU) Init([]float64, *rng.Rand) {}
 // Forward implements Layer.
 func (l *ReLU) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 	out := ensureMat(&l.outBuf, in.Rows, in.Cols)
+	dst := out.Data[:len(in.Data)]
 	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(v))
 	}
 	l.lastOut = out
 	return out
@@ -143,12 +153,10 @@ func (l *ReLU) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 // Backward implements Layer.
 func (l *ReLU) Backward(_ []float64, dOut *tensor.Matrix, _ []float64) *tensor.Matrix {
 	dIn := ensureMat(&l.dInBuf, dOut.Rows, dOut.Cols)
+	dst := dIn.Data[:len(l.lastOut.Data)]
+	src := dOut.Data[:len(l.lastOut.Data)]
 	for i, v := range l.lastOut.Data {
-		if v > 0 {
-			dIn.Data[i] = dOut.Data[i]
-		} else {
-			dIn.Data[i] = 0
-		}
+		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & positiveMask(v))
 	}
 	return dIn
 }
@@ -201,19 +209,61 @@ func (l *Tanh) Backward(_ []float64, dOut *tensor.Matrix, _ []float64) *tensor.M
 // Clone implements Layer.
 func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 
-// Conv2D is a 2-D convolution over channel-major flattened images,
-// implemented with im2col so the per-sample work is one matrix multiply.
+// Conv2D is a 2-D convolution over channel-major flattened images, computed
+// channel-major: each sample is lowered TRANSPOSED into colT (PatchLen x P,
+// one row per (channel, ky, kx) tap, one column per output position), so
+//
+//	out (F x P) = W (F x PatchLen) * colT (PatchLen x P)
+//
+// lands directly in the sample's channel-major output row, with the dense
+// filter matrix as the A operand of tensor.Gemm (and so on its packed SSE
+// path). Backward re-lowers each sample from the cached input instead of
+// keeping a batch-sized patch cache: dColT = W^T * dOut, scattered back in
+// descending tap order, which is ascending output position for every input
+// pixel. Every output, input-gradient and weight-gradient element sums the
+// same terms in the same order as the row-major im2col formulation
+// (Im2Col + GemmTB forward; GemmTA + Gemm + Col2Im backward); the terms the
+// two formulations' zero-skips treat differently are exact ±0 additions to
+// accumulators that start at +0, which change no bit (see the reduce-order
+// contract in internal/tensor/naive.go). conv_oracle_test.go bit-compares
+// the two.
 // Parameters: filters (F x C*K*K, row-major) followed by biases (F).
 type Conv2D struct {
 	shape   tensor.ConvShape
 	filters int
-	// patches is the forward cache: the lowered-patches matrices of every
-	// batch row, stacked vertically (batch*P rows x PatchLen cols) in one
-	// reused buffer instead of one Clone per sample per call.
-	patches *tensor.Matrix
+	taps    []convTap      // lowering plan, one entry per colT row; shared by clones
+	lastIn  *tensor.Matrix // forward cache: Backward re-lowers from it
 
-	outBuf, dInBuf               *tensor.Matrix // scratch arena
-	prodBuf, dProdBuf, dPatchBuf *tensor.Matrix
+	outBuf, dInBuf *tensor.Matrix // scratch arena
+	colT, dColT    tensor.Matrix  // one sample's lowered patches and their gradient
+	wT             tensor.Matrix  // W^T, packed once per Backward
+	nzPos          []int          // one filter's nonzero gradient positions
+	nzVal          []float64      // ... and their values
+}
+
+// convTap is one (channel, ky, kx) row of the lowered patches: the output
+// rectangle [ylo, yhi) x [xlo, xhi) whose input pixel under the tap lies
+// inside the image, and the input index under output (ylo, xlo). Outside
+// the rectangle the tap reads padding.
+type convTap struct {
+	ylo, yhi, xlo, xhi, src int
+}
+
+// tapSpan returns the output range [lo, hi) along one axis whose input
+// coordinate o*stride + k - pad falls inside [0, n) for kernel offset k;
+// lo >= hi when there is none.
+func tapSpan(k, pad, stride, n, outN int) (lo, hi int) {
+	off := k - pad
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if last := n - 1 - off; last >= 0 {
+		hi = last/stride + 1
+	}
+	if hi > outN {
+		hi = outN
+	}
+	return lo, hi
 }
 
 // NewConv2D creates a convolution from the given input shape to `filters`
@@ -226,7 +276,22 @@ func NewConv2D(channels, height, width, kernel, stride, pad, filters int) *Conv2
 	if s.OutHeight() < 1 || s.OutWidth() < 1 || filters < 1 {
 		panic("nn: Conv2D produces empty output")
 	}
-	return &Conv2D{shape: s, filters: filters}
+	taps := make([]convTap, 0, s.PatchLen())
+	for ch := 0; ch < channels; ch++ {
+		for ky := 0; ky < kernel; ky++ {
+			ylo, yhi := tapSpan(ky, pad, stride, height, s.OutHeight())
+			for kx := 0; kx < kernel; kx++ {
+				xlo, xhi := tapSpan(kx, pad, stride, width, s.OutWidth())
+				if ylo >= yhi || xlo >= xhi {
+					taps = append(taps, convTap{}) // the tap reads only padding
+					continue
+				}
+				src := (ch*height+ylo*stride+ky-pad)*width + xlo*stride + kx - pad
+				taps = append(taps, convTap{ylo, yhi, xlo, xhi, src})
+			}
+		}
+	}
+	return &Conv2D{shape: s, filters: filters, taps: taps}
 }
 
 // OutShape returns the (channels, height, width) of the output images.
@@ -261,37 +326,92 @@ func (c *Conv2D) kernelMatrix(params []float64) *tensor.Matrix {
 		Data: params[:c.filters*c.shape.PatchLen()]}
 }
 
-// samplePatches returns the lowered-patches view of batch row i inside the
-// stacked patches buffer. The returned header is written into view to keep
-// the hot path allocation-free.
-func (c *Conv2D) samplePatches(view *tensor.Matrix, i int) *tensor.Matrix {
-	p := c.shape.OutHeight() * c.shape.OutWidth()
-	pl := c.shape.PatchLen()
-	view.Rows, view.Cols = p, pl
-	view.Data = c.patches.Data[i*p*pl : (i+1)*p*pl]
-	return view
+// scratch allocates the per-sample buffers on first use; their shapes
+// depend only on the layer, never on the batch.
+func (c *Conv2D) scratch() {
+	if c.nzPos != nil {
+		return
+	}
+	pl, p := c.shape.PatchLen(), c.shape.OutHeight()*c.shape.OutWidth()
+	// lower writes only the in-image entries of colT, so its padding
+	// entries keep the zeros they were allocated with.
+	buf := make([]float64, 2*pl*p+pl*c.filters+p)
+	c.colT = tensor.Matrix{Rows: pl, Cols: p, Data: buf[:pl*p]}
+	c.dColT = tensor.Matrix{Rows: pl, Cols: p, Data: buf[pl*p : 2*pl*p]}
+	c.wT = tensor.Matrix{Rows: pl, Cols: c.filters, Data: buf[2*pl*p : 2*pl*p+pl*c.filters]}
+	c.nzPos, c.nzVal = make([]int, p), buf[2*pl*p+pl*c.filters:]
+}
+
+// lower writes one image's in-image patch entries into colT: each output
+// row of a tap reads one contiguous run of an input row (a strided run when
+// stride > 1).
+func (c *Conv2D) lower(img []float64) {
+	outW, stride := c.shape.OutWidth(), c.shape.Stride
+	rowStep := stride * c.shape.Width
+	p := c.colT.Cols
+	for q, t := range c.taps {
+		row := c.colT.Data[q*p : (q+1)*p]
+		src := t.src
+		for oy := t.ylo; oy < t.yhi; oy++ {
+			dst := row[oy*outW+t.xlo : oy*outW+t.xhi]
+			if stride == 1 {
+				copy(dst, img[src:src+len(dst)])
+			} else {
+				for j := range dst {
+					dst[j] = img[src+j*stride]
+				}
+			}
+			src += rowStep
+		}
+	}
+}
+
+// scatter adds dColT into one image gradient: the adjoint of lower. Taps
+// run in descending order, i.e. descending (ky, kx) within each channel,
+// which delivers every pixel's contributions in ascending output position
+// — the order Col2Im adds them in.
+func (c *Conv2D) scatter(img []float64) {
+	outW, stride := c.shape.OutWidth(), c.shape.Stride
+	rowStep := stride * c.shape.Width
+	p := c.dColT.Cols
+	for q := len(c.taps) - 1; q >= 0; q-- {
+		t := c.taps[q]
+		row := c.dColT.Data[q*p : (q+1)*p]
+		dst := t.src
+		for oy := t.ylo; oy < t.yhi; oy++ {
+			src := row[oy*outW+t.xlo : oy*outW+t.xhi]
+			if stride == 1 {
+				d := img[dst : dst+len(src)]
+				for j, v := range src {
+					d[j] += v
+				}
+			} else {
+				for j, v := range src {
+					img[dst+j*stride] += v
+				}
+			}
+			dst += rowStep
+		}
+	}
 }
 
 // Forward implements Layer. Output rows are channel-major flattened images
 // of shape (filters, outH, outW).
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
+	c.scratch()
+	c.lastIn = in
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
-	outH, outW := c.shape.OutHeight(), c.shape.OutWidth()
-	p := outH * outW
+	p := c.colT.Cols
 	out := ensureMat(&c.outBuf, in.Rows, c.filters*p)
-	ensureMat(&c.patches, in.Rows*p, c.shape.PatchLen())
-	prod := ensureMat(&c.prodBuf, p, c.filters)
-	var lowered tensor.Matrix
 	for i := 0; i < in.Rows; i++ {
-		c.samplePatches(&lowered, i)
-		tensor.Im2Col(c.shape, in.Row(i), &lowered)
-		tensor.GemmTB(1, &lowered, w, 0, prod) // (P x F), beta=0 overwrites
-		dst := out.Row(i)
-		for f := 0; f < c.filters; f++ {
-			b := bias[f]
-			for pos := 0; pos < p; pos++ {
-				dst[f*p+pos] = prod.At(pos, f) + b
+		c.lower(in.Row(i))
+		dst := tensor.Matrix{Rows: c.filters, Cols: p, Data: out.Row(i)}
+		tensor.Gemm(1, w, &c.colT, 0, &dst) // (F x P), beta=0 overwrites
+		for f, b := range bias {
+			orow := dst.Data[f*p : (f+1)*p]
+			for pos := range orow {
+				orow[pos] += b
 			}
 		}
 	}
@@ -300,37 +420,67 @@ func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(params []float64, dOut *tensor.Matrix, dParams []float64) *tensor.Matrix {
-	w := c.kernelMatrix(params)
-	dW := &tensor.Matrix{Rows: c.filters, Cols: c.shape.PatchLen(),
-		Data: dParams[:c.filters*c.shape.PatchLen()]}
-	dB := dParams[c.filters*c.shape.PatchLen():]
-	outH, outW := c.shape.OutHeight(), c.shape.OutWidth()
-	p := outH * outW
+	c.scratch()
+	pl, p := c.colT.Rows, c.colT.Cols
+	dW := dParams[:c.filters*pl]
+	dB := dParams[c.filters*pl:]
+	for f, wf := range c.kernelMatrix(params).Data {
+		c.wT.Data[(f%pl)*c.filters+f/pl] = wf
+	}
 	dIn := ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
-	tensor.Zero(dIn.Data) // Col2Im scatter-adds into dIn rows
-	dProd := ensureMat(&c.dProdBuf, p, c.filters)
-	dPatches := ensureMat(&c.dPatchBuf, p, c.shape.PatchLen())
-	var patches tensor.Matrix
+	tensor.Zero(dIn.Data) // scatter adds into dIn rows
+	colT := c.colT.Data
 	for i := 0; i < dOut.Rows; i++ {
+		c.lower(c.lastIn.Row(i))
 		src := dOut.Row(i)
 		for f := 0; f < c.filters; f++ {
-			for pos := 0; pos < p; pos++ {
-				g := src[f*p+pos]
-				dProd.Set(pos, f, g)
+			// dB sums every entry; dW skips the exact zeros, as GemmTA's
+			// zero-coefficient skip did, so compact the nonzeros once and
+			// run each tap's dot product branch-free over them, four taps
+			// at a time to overlap the dependent additions.
+			n := 0
+			pos, val := c.nzPos[:p], c.nzVal[:p]
+			for k, g := range src[f*p : (f+1)*p] {
 				dB[f] += g
+				if g != 0 {
+					pos[n], val[n] = k, g
+					n++
+				}
+			}
+			pos, val = pos[:n], val[:n]
+			dWf := dW[f*pl : (f+1)*pl]
+			q := 0
+			for ; q+4 <= pl; q += 4 {
+				r0, r1 := colT[q*p:(q+1)*p], colT[(q+1)*p:(q+2)*p]
+				r2, r3 := colT[(q+2)*p:(q+3)*p], colT[(q+3)*p:(q+4)*p]
+				a0, a1, a2, a3 := dWf[q], dWf[q+1], dWf[q+2], dWf[q+3]
+				for j, k := range pos {
+					v := val[j]
+					a0 += v * r0[k]
+					a1 += v * r1[k]
+					a2 += v * r2[k]
+					a3 += v * r3[k]
+				}
+				dWf[q], dWf[q+1], dWf[q+2], dWf[q+3] = a0, a1, a2, a3
+			}
+			for ; q < pl; q++ {
+				r, a := colT[q*p:(q+1)*p], dWf[q]
+				for j, k := range pos {
+					a += val[j] * r[k]
+				}
+				dWf[q] = a
 			}
 		}
-		// dW += dProd^T * patches ; dPatches = dProd * W.
-		tensor.GemmTA(1, dProd, c.samplePatches(&patches, i), 1, dW)
-		tensor.Gemm(1, dProd, w, 0, dPatches) // beta=0 overwrites
-		tensor.Col2Im(c.shape, dPatches, dIn.Row(i))
+		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: src}
+		tensor.Gemm(1, &c.wT, &g, 0, &c.dColT) // (PatchLen x P), beta=0 overwrites
+		c.scatter(dIn.Row(i))
 	}
 	return dIn
 }
 
 // Clone implements Layer.
 func (c *Conv2D) Clone() Layer {
-	return &Conv2D{shape: c.shape, filters: c.filters}
+	return &Conv2D{shape: c.shape, filters: c.filters, taps: c.taps}
 }
 
 // MaxPool2x2 downsamples channel-major images by taking the max over

@@ -38,7 +38,9 @@ type Layer interface {
 	// Init writes an initialization into params (length ParamLen).
 	Init(params []float64, r *rng.Rand)
 	// Forward computes the layer output for a batch (rows are examples)
-	// and caches whatever Backward needs.
+	// and caches whatever Backward needs. Layers may cache a reference to
+	// in itself (Dense and Conv2D do), so in must stay unchanged until the
+	// matching Backward.
 	Forward(params []float64, in *tensor.Matrix) *tensor.Matrix
 	// Backward consumes the gradient w.r.t. the layer output, accumulates
 	// the parameter gradient into dParams (length ParamLen, NOT zeroed),

@@ -309,3 +309,38 @@ func TestLossGradZeroesGrad(t *testing.T) {
 		}
 	}
 }
+
+func TestReLUEdgeValues(t *testing.T) {
+	// The masked formulation must agree bit for bit with the branchy
+	// "v > 0 ? v : 0" on every edge value: ±0 and NaN map to +0, ±Inf and
+	// subnormals keep their sign rule, and backward passes the gradient's
+	// exact bits (NaN, -0 and Inf included) wherever the output is positive.
+	neg0 := math.Copysign(0, -1)
+	edges := []float64{1, -1, 0, neg0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64}
+	n := len(edges)
+	in := tensor.NewMatrix(n, n)
+	dOut := tensor.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			in.Set(i, j, edges[j])
+			dOut.Set(i, j, edges[i])
+		}
+	}
+	l := NewReLU(n)
+	out := l.Forward(nil, in)
+	dIn := l.Backward(nil, dOut, nil)
+	for k, v := range in.Data {
+		wantOut, wantDIn := 0.0, 0.0
+		if v > 0 {
+			wantOut, wantDIn = v, dOut.Data[k]
+		}
+		if got := out.Data[k]; math.Float64bits(got) != math.Float64bits(wantOut) {
+			t.Errorf("forward(%v) = %v, want %v", v, got, wantOut)
+		}
+		if got := dIn.Data[k]; math.Float64bits(got) != math.Float64bits(wantDIn) {
+			t.Errorf("backward(out=%v, g=%v) = %v, want %v", out.Data[k], dOut.Data[k], got, wantDIn)
+		}
+	}
+}

@@ -8,6 +8,18 @@ package tensor
 // skipped in the axpy-form kernels (Gemm, GemmTA, GemvT). Parity tests and
 // cmd/bench compare against these, so they must stay byte-for-byte what the
 // repository shipped before the blocked rewrite.
+//
+// The zero-coefficient skip is bit-neutral whenever the other operand is
+// finite and the accumulator does not start at -0. A skipped term would be
+// an exact ±0; adding ±0 returns any nonzero accumulator unchanged, and
+// +0 + ±0 = +0. An accumulator that starts at +0 (every beta == 0 product)
+// never becomes -0, because round-to-nearest yields -0 only from -0 + -0.
+// So a caller may orient a product to skip on either operand, e.g. put a
+// dense weight matrix in A and a ReLU-masked activation in B, and get the
+// same bits as the opposite orientation, as long as it starts from +0 or
+// from a destination free of -0. What does differ is NaN/Inf propagation:
+// an exact zero times ±Inf or NaN is NaN when the term is computed and
+// absent when it is skipped. nn.Conv2D relies on this.
 
 // GemvNaive is the reference Gemv: y = alpha*A*x + beta*y.
 func GemvNaive(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
